@@ -1,0 +1,2 @@
+(* Monotonic nanosecond clock for every duration the benchmark reports. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
