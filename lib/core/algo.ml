@@ -1,27 +1,18 @@
-type ressched = {
-  name : string;
-  run : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> Mp_cpa.Schedule.t;
-}
+type ressched = { name : string; run : Env.t -> Mp_dag.Dag.t -> Mp_cpa.Schedule.t }
 
 type deadline = {
   name : string;
-  run : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
-  prepare : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
+  run : Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
+  prepare : Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
 }
 
 let ressched_of ~bl ~bd : ressched =
-  {
-    name = Ressched.name ~bl ~bd;
-    run = (fun ?spec env dag -> Ressched.schedule ~bl ~bd ?spec env dag);
-  }
+  { name = Ressched.name ~bl ~bd; run = (fun env dag -> Ressched.schedule ~bl ~bd env dag) }
 
 let ressched_main : ressched list =
   List.map
     (fun bd : ressched ->
-      {
-        name = Bound.name bd;
-        run = (fun ?spec env dag -> Ressched.schedule ~bl:BL_CPAR ~bd ?spec env dag);
-      })
+      { name = Bound.name bd; run = (fun env dag -> Ressched.schedule ~bl:BL_CPAR ~bd env dag) })
     Bound.all
 
 let ressched_all =
@@ -36,40 +27,40 @@ let ressched_find name =
 let agg a =
   {
     name = Deadline.aggressive_name a;
-    run = (fun ?spec env dag ~deadline -> Deadline.aggressive ?spec a env dag ~deadline);
-    prepare = (fun ?spec env dag -> Deadline.aggressive_prepared ?spec a env dag);
+    run = (fun env dag ~deadline -> Deadline.aggressive a env dag ~deadline);
+    prepare = (fun env dag -> Deadline.aggressive_prepared a env dag);
   }
 
 let rc c =
   {
     name = Deadline.conservative_name c;
-    run = (fun ?spec env dag ~deadline -> Deadline.resource_conservative ?spec c env dag ~deadline);
+    run = (fun env dag ~deadline -> Deadline.resource_conservative c env dag ~deadline);
     prepare =
-      (fun ?spec env dag ->
-        let prepared = Deadline.conservative_prepared ?spec c env dag in
+      (fun env dag ->
+        let prepared = Deadline.conservative_prepared c env dag in
         fun ~deadline -> prepared ~lambda:0. ~deadline);
   }
 
-let hybrid_prepare ~bounded_fallback ?spec env dag =
-  let prepared = Deadline.hybrid_prepared ~bounded_fallback ?spec env dag in
+let hybrid_prepare ~bounded_fallback env dag =
+  let prepared = Deadline.hybrid_prepared ~bounded_fallback env dag in
   fun ~deadline -> Option.map fst (prepared ~deadline)
 
 let rc_lambda =
   {
     name = "DL_RC_CPAR-l";
     run =
-      (fun ?spec env dag ~deadline ->
-        Option.map fst (Deadline.hybrid ~bounded_fallback:false ?spec env dag ~deadline));
-    prepare = (fun ?spec env dag -> hybrid_prepare ~bounded_fallback:false ?spec env dag);
+      (fun env dag ~deadline ->
+        Option.map fst (Deadline.hybrid ~bounded_fallback:false env dag ~deadline));
+    prepare = (fun env dag -> hybrid_prepare ~bounded_fallback:false env dag);
   }
 
 let rcbd_lambda =
   {
     name = "DL_RCBD_CPAR-l";
     run =
-      (fun ?spec env dag ~deadline ->
-        Option.map fst (Deadline.hybrid ~bounded_fallback:true ?spec env dag ~deadline));
-    prepare = (fun ?spec env dag -> hybrid_prepare ~bounded_fallback:true ?spec env dag);
+      (fun env dag ~deadline ->
+        Option.map fst (Deadline.hybrid ~bounded_fallback:true env dag ~deadline));
+    prepare = (fun env dag -> hybrid_prepare ~bounded_fallback:true env dag);
   }
 
 let deadline_main =

@@ -1,22 +1,15 @@
 (** Registry of the paper's named algorithms, for CLIs, experiments, and
     benchmarks. *)
 
-type ressched = {
-  name : string;
-  run : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> Mp_cpa.Schedule.t;
-      (** [?spec] lends pool workers to this one schedule computation,
-          output unchanged (see {!Speculate}) *)
-}
+type ressched = { name : string; run : Env.t -> Mp_dag.Dag.t -> Mp_cpa.Schedule.t }
 
 type deadline = {
   name : string;
-  run : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
-  prepare : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
+  run : Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
+  prepare : Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
       (** partial application at [Env.t -> Dag.t] precomputes the
           deadline-independent data; use for deadline sweeps (see
-          {!Deadline.aggressive_prepared}).  Drive a closure prepared
-          under [?spec] only with searches given the same [spec]
-          ({!Deadline.tightest}'s [?spec]). *)
+          {!Deadline.aggressive_prepared}) *)
 }
 
 val ressched_main : ressched list

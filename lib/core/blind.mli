@@ -1,9 +1,9 @@
 (** RESSCHED without calendar visibility — the practical variant the paper
     sketches in Sections 3.2.2 and 7: the application scheduler cannot
     read the reservation schedule and must find each task's reservation
-    through a bounded number of trial-and-error requests against a
-    {!Mp_service.Probe.t} (the single-site facade over the scheduling
-    service's {!Mp_service.Engine}).
+    through a bounded number of trial-and-error [Reserve] requests (and
+    [Cancel]s of the trials it does not keep) against one site of the
+    scheduling service's {!Mp_service.Engine}.
 
     The algorithm mirrors [Ressched.schedule] (BL_CPAR order, BD_CPAR-like
     allocation bounds computed from a {e guess} [q] of the average
@@ -25,14 +25,19 @@ val schedule :
   ?budget:int ->
   ?bl:Bottom_level.method_ ->
   q:int ->
-  probe:Mp_service.Probe.t ->
+  engine:Mp_service.Engine.t ->
+  site:int ->
   Mp_dag.Dag.t ->
-  Mp_cpa.Schedule.t
-(** [schedule ~q ~probe dag] schedules every task through the probe
-    interface.  [budget] (default 16) bounds the number of requests per
-    task; at least one placement always succeeds (the suggestion chain for
-    1 processor terminates at a feasible slot).  [q] is the scheduler's
-    own estimate of average availability, used to compute CPA bounds and
-    weights; the cluster size is taken from the probe.  The returned
-    schedule's reservations have already been granted (they are in
-    [Probe.granted]). *)
+  Mp_cpa.Schedule.t * int
+(** [schedule ~q ~engine ~site dag] schedules every task through
+    {!Mp_service.Engine.handle} on [site] and returns the schedule with
+    the number of [Reserve] requests it made (granted or not; the
+    [Cancel]s of trial grants are not counted, as the budget does not
+    charge them).  [budget] (default 16) bounds the number of requests
+    per task; at least one placement always succeeds (the suggestion
+    chain for 1 processor terminates at a feasible slot).  [q] is the
+    scheduler's own estimate of average availability, used to compute
+    CPA bounds and weights; the cluster size is taken from the site.  The
+    returned schedule's reservations have already been granted (they are
+    in [Engine.granted engine ~site]).  Raises [Invalid_argument] when the
+    engine refuses to cancel a trial grant. *)

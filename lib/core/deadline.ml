@@ -130,16 +130,8 @@ let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) 
 
 (* Shared backward list-scheduling loop over a precomputed increasing
    bottom-level order.  [place] decides one task's slot given the current
-   calendar and the task's completion deadline.
-
-   With [?spec], upcoming placements are evaluated against a persistent
-   snapshot of the transaction in parallel and committed in order with
-   per-task validation — output identical to the sequential pass by
-   construction (see "Intra-schedule speculation" in DESIGN.md: the
-   live calendar's availability is a subset of the snapshot's, under
-   which every placement scan in this module either returns the
-   validated winner again or fails identically). *)
-let backward ?spec ~order (env : Env.t) dag ~deadline ~place =
+   calendar and the task's completion deadline. *)
+let backward ~order (env : Env.t) dag ~deadline ~place =
   Mp_obs.Span.wrap sp_backward @@ fun () ->
   let nb = Dag.n dag in
   let slots = Array.make nb ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
@@ -147,112 +139,26 @@ let backward ?spec ~order (env : Env.t) dag ~deadline ~place =
      versions, so it runs on a mutable transaction over the shared base
      calendar instead of building a persistent version per task. *)
   let cal = Calendar.Txn.start env.calendar in
-  let dl_of i =
-    Array.fold_left (fun acc j -> min acc slots.(j).Schedule.start) deadline (Dag.succs dag i)
-  in
-  let place_live k i dl =
-    Mp_obs.Span.enter sp_place;
-    let slot = place cal ~k ~i ~dl in
-    Mp_obs.Span.exit sp_place;
-    slot
-  in
-  let commit i (s, fin, np) =
-    Mp_obs.Counter.incr c_tasks_placed;
-    Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
-    slots.(i) <- { start = s; finish = fin; procs = np }
-  in
   let rec go k =
     if k < 0 then Some { Schedule.slots }
     else begin
-      match place_live k (order.(k)) (dl_of (order.(k))) with
+      let i = order.(k) in
+      let dl =
+        Array.fold_left (fun acc j -> min acc slots.(j).Schedule.start) deadline (Dag.succs dag i)
+      in
+      Mp_obs.Span.enter sp_place;
+      let slot = place cal ~k ~i ~dl in
+      Mp_obs.Span.exit sp_place;
+      match slot with
       | None -> None
-      | Some slot ->
-          commit (order.(k)) slot;
+      | Some (s, fin, np) ->
+          Mp_obs.Counter.incr c_tasks_placed;
+          Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
+          slots.(i) <- { start = s; finish = fin; procs = np };
           go (k - 1)
     end
   in
-  match Speculate.acquire spec with
-  | None -> go (nb - 1)
-  | Some sp ->
-      Fun.protect ~finally:(fun () -> Speculate.release sp) @@ fun () ->
-      let pos = Array.make nb 0 in
-      Array.iteri (fun k i -> pos.(i) <- k) order;
-      (* The window [k_lo, k] may be evaluated against one snapshot iff no
-         task in it has a successor inside it: successors of order.(k')
-         sit at positions > k', so requiring them > k (already placed)
-         makes every window task's deadline final at snapshot time. *)
-      let window_lo k =
-        let lookahead = Speculate.lookahead sp in
-        let rec extend k' w =
-          if w >= lookahead || k' < 0 then k' + 1
-          else if Array.for_all (fun j -> pos.(j) > k) (Dag.succs dag order.(k')) then
-            extend (k' - 1) (w + 1)
-          else k' + 1
-        in
-        extend (k - 1) 1
-      in
-      let rec go_spec k =
-        if k < 0 then Some { Schedule.slots }
-        else begin
-          let k_lo = window_lo k in
-          let w = k - k_lo + 1 in
-          if w < 2 then begin
-            match place_live k (order.(k)) (dl_of (order.(k))) with
-            | None -> None
-            | Some slot ->
-                commit (order.(k)) slot;
-                go_spec (k - 1)
-          end
-          else begin
-            let snap = Calendar.Txn.commit cal in
-            Speculate.wave_probes w;
-            let thunks =
-              Array.init w (fun j ->
-                  let i = order.(k - j) in
-                  let kk = k - j and dl = dl_of i in
-                  fun () ->
-                    let scal = Calendar.Txn.start snap in
-                    let t0 = if !Mp_obs.enabled then Mp_obs.now_ns () else 0 in
-                    let r = place scal ~k:kk ~i ~dl in
-                    let dt = if !Mp_obs.enabled then max 0 (Mp_obs.now_ns () - t0) else 0 in
-                    (r, dt))
-            in
-            let results = Speculate.map_array sp thunks in
-            (* Commit in order.  A snapshot [None] is exact (availability
-               only shrank since the snapshot, so the live scan fails
-               too); a snapshot winner that still fits is what the live
-               scan would pick (DESIGN.md); otherwise recompute live. *)
-            let rec commit_loop j =
-              if j >= w then go_spec (k - w)
-              else begin
-                let i = order.(k - j) in
-                match results.(j) with
-                | None, _ -> None
-                | Some ((s, fin, np) as slot), dt ->
-                    if
-                      j = 0
-                      || Calendar.Txn.can_reserve cal
-                           (Reservation.make ~start:s ~finish:fin ~procs:np)
-                    then begin
-                      if j > 0 then Speculate.hit ();
-                      commit i slot;
-                      commit_loop (j + 1)
-                    end
-                    else begin
-                      Speculate.miss ~wasted_ns:dt;
-                      match place_live (k - j) i (dl_of i) with
-                      | None -> None
-                      | Some slot ->
-                          commit i slot;
-                          commit_loop (j + 1)
-                    end
-              end
-            in
-            commit_loop 0
-          end
-        end
-      in
-      go_spec (nb - 1)
+  go (nb - 1)
 
 (* The allocation-dependent data (bottom-level order, CPA allocations for
    bounds and reference schedules) only depends on (env, dag), never on
@@ -266,7 +172,7 @@ let backward ?spec ~order (env : Env.t) dag ~deadline ~place =
 let candidate_tables dag ~bound_of =
   Array.init (Dag.n dag) (fun i -> Task.candidates (Dag.task dag i) ~max_np:(bound_of i))
 
-let aggressive_prepared ?spec algo (env : Env.t) dag =
+let aggressive_prepared algo (env : Env.t) dag =
   let order = Bottom_level.order Bottom_level.BL_CPAR env dag in
   let bounds =
     match algo with
@@ -276,12 +182,12 @@ let aggressive_prepared ?spec algo (env : Env.t) dag =
   in
   let cands = candidate_tables dag ~bound_of:(fun i -> max 1 bounds.(i)) in
   fun ~deadline ->
-    backward ?spec ~order env dag ~deadline ~place:(fun cal ~k:_ ~i ~dl ->
+    backward ~order env dag ~deadline ~place:(fun cal ~k:_ ~i ~dl ->
         place_latest cal (Dag.task dag i) ~dl ~cands:cands.(i))
 
-let aggressive ?spec algo env dag ~deadline = aggressive_prepared ?spec algo env dag ~deadline
+let aggressive algo env dag ~deadline = aggressive_prepared algo env dag ~deadline
 
-let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) dag =
+let conservative_prepared ?(bounded_fallback = false) algo (env : Env.t) dag =
   let order = Bottom_level.order Bottom_level.BL_CPAR env dag in
   let ref_q = match algo with DL_RC_CPA -> env.p | DL_RC_CPAR -> env.q in
   let ref_allocs = Allocation.allocate ~p:ref_q dag in
@@ -289,9 +195,6 @@ let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) d
      backward order, so the reference starts they consult are the same
      order-prefix schedules: memoize them across probes. *)
   let refs = Mapping.prefix_references dag ~allocs:ref_allocs ~p:ref_q ~order in
-  (* The memo fills lazily in decreasing position order; speculative
-     probes run on worker domains, so force it read-only up front. *)
-  if spec <> None && Dag.n dag > 0 then ignore (Mapping.reference_start refs 0);
   let cons_cands = candidate_tables dag ~bound_of:(fun _ -> env.p) in
   let fb_cands =
     if bounded_fallback then begin
@@ -302,7 +205,7 @@ let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) d
   in
   fun ~lambda ~deadline ->
     if lambda < 0. || lambda > 1. then invalid_arg "Deadline.resource_conservative: lambda";
-    backward ?spec ~order env dag ~deadline ~place:(fun cal ~k ~i ~dl ->
+    backward ~order env dag ~deadline ~place:(fun cal ~k ~i ~dl ->
         let reference = Mapping.reference_start refs k in
         let threshold =
           reference + int_of_float (Float.round (lambda *. float_of_int (dl - reference)))
@@ -314,12 +217,12 @@ let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) d
         | Some slot -> Some slot
         | None -> place_latest cal (Dag.task dag i) ~dl ~cands:fb_cands.(i))
 
-let resource_conservative ?(lambda = 0.) ?bounded_fallback ?spec algo env dag ~deadline =
-  conservative_prepared ?bounded_fallback ?spec algo env dag ~lambda ~deadline
+let resource_conservative ?(lambda = 0.) ?bounded_fallback algo env dag ~deadline =
+  conservative_prepared ?bounded_fallback algo env dag ~lambda ~deadline
 
-let hybrid_prepared ?bounded_fallback ?(step = 0.05) ?spec env dag =
+let hybrid_prepared ?bounded_fallback ?(step = 0.05) env dag =
   if step <= 0. then invalid_arg "Deadline.hybrid: step <= 0";
-  let prepared = conservative_prepared ?bounded_fallback ?spec DL_RC_CPAR env dag in
+  let prepared = conservative_prepared ?bounded_fallback DL_RC_CPAR env dag in
   (* λ_k = min 1 (k·step), k = 0..n_steps — an integer grid, not repeated
      float accumulation, so the probed values carry no accumulated
      rounding.  n_steps is the first k with k·step >= 1 (the old
@@ -328,44 +231,24 @@ let hybrid_prepared ?bounded_fallback ?(step = 0.05) ?spec env dag =
   let n_steps = int_of_float (ceil (1. /. step -. 1e-9)) in
   let lambda_of k = Float.min 1. (float_of_int k *. step) in
   fun ~deadline ->
-    let try_lambda k =
-      let l = lambda_of k in
-      match prepared ~lambda:l ~deadline with
-      | Some sched -> Some (sched, l)
-      | None -> None
+    let rec sweep k =
+      if k > n_steps then None
+      else
+        let l = lambda_of k in
+        match prepared ~lambda:l ~deadline with
+        | Some sched -> Some (sched, l)
+        | None -> sweep (k + 1)
     in
-    let sequential () =
-      let rec sweep k =
-        if k > n_steps then None
-        else match try_lambda k with Some _ as r -> r | None -> sweep (k + 1)
-      in
-      sweep 0
-    in
-    Speculate.lend spec ~sequential ~speculative:(fun sp ->
-        (* Fan the grid in fixed-width waves; the smallest-index success
-           is the same first feasible λ the sequential sweep finds. *)
-        let rec waves k0 =
-          if k0 > n_steps then None
-          else begin
-            let w = min Speculate.wave_width (n_steps - k0 + 1) in
-            let thunks = Array.init w (fun j () -> try_lambda (k0 + j)) in
-            match Speculate.first_some sp thunks with
-            | Some (_, r) -> Some r
-            | None -> waves (k0 + w)
-          end
-        in
-        waves 0)
+    sweep 0
 
-let hybrid ?bounded_fallback ?step ?spec env dag ~deadline =
-  hybrid_prepared ?bounded_fallback ?step ?spec env dag ~deadline
+let hybrid ?bounded_fallback ?step env dag ~deadline =
+  hybrid_prepared ?bounded_fallback ?step env dag ~deadline
 
 let lower_bound (env : Env.t) dag =
   let weights = Array.map (fun tk -> Task.exec_time_f tk env.p) (Dag.tasks dag) in
   int_of_float (ceil (Analysis.cp_length dag ~weights))
 
-let bracket_attempts = 22
-
-let tightest ?(resolution = 60) ?spec algo env dag =
+let tightest ?(resolution = 60) algo env dag =
   if resolution < 1 then invalid_arg "Deadline.tightest: resolution < 1";
   let lo = max 1 (lower_bound env dag) in
   let probe ~deadline =
@@ -373,93 +256,24 @@ let tightest ?(resolution = 60) ?spec algo env dag =
     algo ~deadline
   in
   (* Find a feasible upper bracket by doubling. *)
-  let bracket_seq () =
-    let rec bracket hi attempts =
-      if attempts = 0 then None
-      else begin
-        match probe ~deadline:hi with
-        | Some sched -> Some (hi, sched)
-        | None -> bracket (hi * 2) (attempts - 1)
-      end
-    in
-    bracket lo bracket_attempts
+  let rec bracket hi attempts =
+    if attempts = 0 then None
+    else begin
+      match probe ~deadline:hi with
+      | Some sched -> Some (hi, sched)
+      | None -> bracket (hi * 2) (attempts - 1)
+    end
   in
-  (* The doubling candidates are a fixed list: fan them in fixed-width
-     waves; the smallest-index success is the bracket the sequential
-     doubling finds. *)
-  let bracket_spec sp =
-    let cands = Array.init bracket_attempts (fun j -> lo * (1 lsl j)) in
-    let rec waves j0 =
-      if j0 >= bracket_attempts then None
-      else begin
-        let w = min Speculate.wave_width (bracket_attempts - j0) in
-        let thunks = Array.init w (fun j () -> probe ~deadline:cands.(j0 + j)) in
-        match Speculate.first_some sp thunks with
-        | Some (j, sched) -> Some (cands.(j0 + j), sched)
-        | None -> waves (j0 + w)
-      end
-    in
-    waves 0
-  in
-  let search_seq lo hi best =
-    let rec search lo hi best =
-      if hi - lo <= resolution then best
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        match probe ~deadline:mid with
-        | Some sched -> search lo mid (mid, sched)
-        | None -> search mid hi best
-      end
-    in
-    search lo hi best
-  in
-  (* Speculative bisection: one wave evaluates the current midpoint and
-     the midpoints of both possible next intervals, then consumes the
-     branch the current probe selects — two bisection levels per wave
-     for three probes, the probed deadlines and the result exactly those
-     of the sequential search (the third probe is wasted). *)
-  let search_spec sp lo hi best =
-    let rec search lo hi best =
-      if hi - lo <= resolution then best
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        let mid_s = lo + ((mid - lo) / 2) in
-        let mid_f = mid + ((hi - mid) / 2) in
-        Speculate.wave_probes 3;
-        let results =
-          Speculate.map_array sp
-            [|
-              (fun () -> probe ~deadline:mid);
-              (fun () -> probe ~deadline:mid_s);
-              (fun () -> probe ~deadline:mid_f);
-            |]
-        in
-        Speculate.wave_wasted 1;
-        match results.(0) with
-        | Some sched ->
-            if mid - lo <= resolution then (mid, sched)
-            else begin
-              match results.(1) with
-              | Some sched' -> search lo mid_s (mid_s, sched')
-              | None -> search mid_s mid (mid, sched)
-            end
-        | None ->
-            if hi - mid <= resolution then best
-            else begin
-              match results.(2) with
-              | Some sched' -> search mid mid_f (mid_f, sched')
-              | None -> search mid_f hi best
-            end
-      end
-    in
-    search lo hi best
-  in
-  Speculate.lend spec
-    ~sequential:(fun () ->
-      match bracket_seq () with
-      | None -> None
-      | Some (hi0, sched0) -> Some (search_seq lo hi0 (hi0, sched0)))
-    ~speculative:(fun sp ->
-      match bracket_spec sp with
-      | None -> None
-      | Some (hi0, sched0) -> Some (search_spec sp lo hi0 (hi0, sched0)))
+  match bracket lo 22 with
+  | None -> None
+  | Some (hi0, sched0) ->
+      let rec search lo hi best =
+        if hi - lo <= resolution then best
+        else begin
+          let mid = lo + ((hi - lo) / 2) in
+          match probe ~deadline:mid with
+          | Some sched -> search lo mid (mid, sched)
+          | None -> search mid hi best
+        end
+      in
+      Some (search lo hi0 (hi0, sched0))

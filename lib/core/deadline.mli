@@ -33,20 +33,7 @@
 
     [DL_RC_CPAR-λ]: sweep λ from 0 to 1 in steps of 0.05 and keep the
     first (most resource-conservative) λ that meets the deadline.
-    [DL_RCBD_CPAR-λ]: same with the CPA-bounded fallback.
-
-    {2 Speculation}
-
-    Every entry point below takes [?spec] (a {!Speculate.t}): when
-    given, idle pool workers are lent to the computation — λ-sweep and
-    deadline-search probes fan in waves, backward placement evaluates
-    lookahead windows against calendar snapshots — with the returned
-    schedule, deadline and λ {e identical} to the sequential run (see
-    "Intra-schedule speculation" in DESIGN.md).  Pass the {e same}
-    [spec] (or none) to a [*_prepared] constructor and to every search
-    driving its closure: preparation under [?spec] eagerly warms the
-    closure's memo tables so the probes a search fans across domains
-    share only read-only state. *)
+    [DL_RCBD_CPAR-λ]: same with the CPA-bounded fallback. *)
 
 type aggressive = DL_BD_ALL | DL_BD_CPA | DL_BD_CPAR
 type conservative = DL_RC_CPA | DL_RC_CPAR
@@ -54,36 +41,22 @@ type conservative = DL_RC_CPA | DL_RC_CPAR
 val aggressive_name : aggressive -> string
 val conservative_name : conservative -> string
 
-val aggressive :
-  ?spec:Speculate.t ->
-  aggressive ->
-  Env.t ->
-  Mp_dag.Dag.t ->
-  deadline:int ->
-  Mp_cpa.Schedule.t option
+val aggressive : aggressive -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option
 
 val aggressive_prepared :
-  ?spec:Speculate.t ->
-  aggressive ->
-  Env.t ->
-  Mp_dag.Dag.t ->
-  deadline:int ->
-  Mp_cpa.Schedule.t option
+  aggressive -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option
 (** Partial application at [Env.t -> Dag.t] precomputes the
     allocation-dependent data (bottom-level order, CPA bounds, the
     per-task {!Mp_dag.Task.candidates} tables and — for the conservative
     variants — the memoized prefix reference schedules of
     {!Mp_cpa.Mapping.prefix_references}), none of which depends on the
     deadline; deadline sweeps — binary searches, λ sweeps — should reuse
-    the resulting closure.  Without [?spec] the prepared closures carry
-    lazily-filled mutable memo state: share one closure within a worker,
-    not across concurrently-running domains.  With [?spec] the memos are
-    forced at preparation, so a search given the same [spec] may fan the
-    closure's probes across the pool. *)
+    the resulting closure.  The prepared closures carry (domain-local)
+    mutable memo state: share one closure within a worker, not across
+    concurrently-running domains. *)
 
 val conservative_prepared :
   ?bounded_fallback:bool ->
-  ?spec:Speculate.t ->
   conservative ->
   Env.t ->
   Mp_dag.Dag.t ->
@@ -97,7 +70,6 @@ val conservative_prepared :
 val hybrid_prepared :
   ?bounded_fallback:bool ->
   ?step:float ->
-  ?spec:Speculate.t ->
   Env.t ->
   Mp_dag.Dag.t ->
   deadline:int ->
@@ -109,7 +81,6 @@ val hybrid_prepared :
 val resource_conservative :
   ?lambda:float ->
   ?bounded_fallback:bool ->
-  ?spec:Speculate.t ->
   conservative ->
   Env.t ->
   Mp_dag.Dag.t ->
@@ -120,7 +91,6 @@ val resource_conservative :
 val hybrid :
   ?bounded_fallback:bool ->
   ?step:float ->
-  ?spec:Speculate.t ->
   Env.t ->
   Mp_dag.Dag.t ->
   deadline:int ->
@@ -135,7 +105,6 @@ val lower_bound : Env.t -> Mp_dag.Dag.t -> int
 
 val tightest :
   ?resolution:int ->
-  ?spec:Speculate.t ->
   (deadline:int -> Mp_cpa.Schedule.t option) ->
   Env.t ->
   Mp_dag.Dag.t ->
@@ -144,9 +113,4 @@ val tightest :
     algorithm can meet, to [resolution] seconds (default 60), as in the
     paper's evaluation (Section 5.3).  The upper bracket is found by
     doubling from {!lower_bound}; [None] if the algorithm fails even on a
-    deadline ~10{^6} times the lower bound.  With [?spec], the doubling
-    bracket fans in waves and each bisection wave evaluates the current
-    midpoint together with both possible next midpoints — same probed
-    deadlines on the consumed path, same result; [algo] must then be a
-    closure prepared under the same [spec] (its memos are warm and its
-    own speculation stands down while the search holds the pool). *)
+    deadline ~10{^6} times the lower bound. *)

@@ -86,8 +86,7 @@ let place_cands_txn ?kind cal task ~ready ~cands =
 let place ?kind cal task ~ready ~bound =
   place_cands ?kind cal task ~ready ~cands:(Task.candidates task ~max_np:bound)
 
-let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) ?(now = 0) ?spec (env : Env.t)
-    dag =
+let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) ?(now = 0) (env : Env.t) dag =
   if now < 0 then invalid_arg "Ressched.schedule: now < 0";
   Mp_obs.Span.wrap sp_schedule @@ fun () ->
   let nb = Dag.n dag in
@@ -99,85 +98,13 @@ let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) ?(now = 0) ?spec
   let slots = Array.make nb ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
   (* Linear place-then-reserve loop: run on a mutable transaction. *)
   let cal = Calendar.Txn.start env.calendar in
-  let ready_of i =
-    Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) now (Dag.preds dag i)
-  in
-  let commit i ((s, fin, np) : int * int * int) =
-    Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
-    slots.(i) <- { start = s; finish = fin; procs = np }
-  in
-  (match Speculate.acquire spec with
-  | None ->
-      Array.iter
-        (fun i -> commit i (place_cands_txn cal (Dag.task dag i) ~ready:(ready_of i) ~cands:cands.(i)))
-        order
-  | Some sp ->
-      Fun.protect ~finally:(fun () -> Speculate.release sp) @@ fun () ->
-      let pos = Array.make nb 0 in
-      Array.iteri (fun k i -> pos.(i) <- k) order;
-      (* Forward mirror of the backward lookahead (see Deadline.backward
-         and "Intra-schedule speculation" in DESIGN.md): the window
-         [t, t_hi] may be evaluated against one snapshot iff no task in
-         it has a predecessor inside it, making every window task's
-         ready time final at snapshot time.  Each window task's
-         earliest-completion scan runs against the snapshot on a worker
-         domain; commits replay in order, re-checking each winning fit
-         against the live transaction — a still-fitting winner is
-         exactly what the live scan would pick, and a lost fit falls
-         back to the live scan. *)
-      let window_hi t =
-        let lookahead = Speculate.lookahead sp in
-        let rec extend t' w =
-          if w >= lookahead || t' >= nb then t' - 1
-          else if Array.for_all (fun j -> pos.(j) < t) (Dag.preds dag order.(t')) then
-            extend (t' + 1) (w + 1)
-          else t' - 1
-        in
-        extend (t + 1) 1
+  Array.iter
+    (fun i ->
+      let ready =
+        Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) now (Dag.preds dag i)
       in
-      let rec go t =
-        if t < nb then begin
-          let t_hi = window_hi t in
-          let w = t_hi - t + 1 in
-          if w < 2 then begin
-            let i = order.(t) in
-            commit i (place_cands_txn cal (Dag.task dag i) ~ready:(ready_of i) ~cands:cands.(i));
-            go (t + 1)
-          end
-          else begin
-            let snap = Calendar.Txn.commit cal in
-            Speculate.wave_probes w;
-            let thunks =
-              Array.init w (fun j ->
-                  let i = order.(t + j) in
-                  let ready = ready_of i in
-                  fun () ->
-                    let scal = Calendar.Txn.start snap in
-                    let t0 = if !Mp_obs.enabled then Mp_obs.now_ns () else 0 in
-                    let r = place_cands_txn scal (Dag.task dag i) ~ready ~cands:cands.(i) in
-                    let dt = if !Mp_obs.enabled then max 0 (Mp_obs.now_ns () - t0) else 0 in
-                    (r, dt))
-            in
-            let results = Speculate.map_array sp thunks in
-            for j = 0 to w - 1 do
-              let i = order.(t + j) in
-              let ((s, fin, np) as slot), dt = results.(j) in
-              if
-                j = 0
-                || Calendar.Txn.can_reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np)
-              then begin
-                if j > 0 then Speculate.hit ();
-                commit i slot
-              end
-              else begin
-                Speculate.miss ~wasted_ns:dt;
-                commit i
-                  (place_cands_txn cal (Dag.task dag i) ~ready:(ready_of i) ~cands:cands.(i))
-              end
-            done;
-            go (t + w)
-          end
-        end
-      in
-      go 0);
+      let s, fin, np = place_cands_txn cal (Dag.task dag i) ~ready ~cands:cands.(i) in
+      Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
+      slots.(i) <- { start = s; finish = fin; procs = np })
+    order;
   { Schedule.slots }

@@ -20,7 +20,6 @@ val schedule :
   ?bl:Bottom_level.method_ ->
   ?bd:Bound.method_ ->
   ?now:int ->
-  ?spec:Speculate.t ->
   Env.t ->
   Mp_dag.Dag.t ->
   Mp_cpa.Schedule.t
@@ -29,11 +28,7 @@ val schedule :
     is the earliest allowed start time, used when scheduling an
     application that arrives later than the calendar's origin (see
     [Mp_sim.Campaign]).  Always succeeds (the calendar's final segment is
-    fully available, so a fit exists for every task).  With [?spec]
-    ({!Speculate.t}), dependency-free runs of upcoming tasks are
-    evaluated against calendar snapshots on the lent pool and committed
-    in order with per-task validation — the schedule is identical (see
-    "Intra-schedule speculation" in DESIGN.md). *)
+    fully available, so a fit exists for every task). *)
 
 val name : bl:Bottom_level.method_ -> bd:Bound.method_ -> string
 (** E.g. ["BL_CPAR_BD_CPA"]. *)

@@ -20,20 +20,14 @@ let dag_lock = Mutex.create ()
 
 let env ~q cal = Env.make ~calendar:cal ~q:(float_of_int q)
 
-(* [spec] lends a pool to the one schedule computation a request makes
-   (see {!Speculate}): whole-DAG work already serializes on [dag_lock],
-   so at most one submit/explain speculates at a time, and speculation is
-   output-preserving, so responses stay bit-identical with or without
-   it.  The spec pool must be distinct from the pool fanning the engine's
-   per-site streams (a pool batch is not re-entrant). *)
-let submit ?spec ~algo ~deadline ~q cal dag =
+let submit ~algo ~deadline ~q cal dag =
   match Algo.find algo with
   | None -> unknown_algo algo
   | Some (`Ressched a) -> (
       match (deadline : Request.deadline_spec) with
       | No_deadline ->
           Mutex.protect dag_lock (fun () ->
-              Response.Scheduled { schedule = a.Algo.run ?spec (env ~q cal) dag; deadline = None })
+              Response.Scheduled { schedule = a.Algo.run (env ~q cal) dag; deadline = None })
       | By _ | Tightest ->
           Response.Error
             (Printf.sprintf
@@ -45,13 +39,13 @@ let submit ?spec ~algo ~deadline ~q cal dag =
           let env = env ~q cal in
           match (deadline : Request.deadline_spec) with
           | By k -> (
-              match a.Algo.run ?spec env dag ~deadline:k with
+              match a.Algo.run env dag ~deadline:k with
               | Some schedule -> Response.Scheduled { schedule; deadline = Some k }
               | None -> Response.Infeasible { algo; deadline = Some k })
           | No_deadline | Tightest -> (
               (* the CLI's --deadline-omitted behaviour: search for the
                  tightest feasible deadline *)
-              match Deadline.tightest ?spec (a.Algo.prepare ?spec env dag) env dag with
+              match Deadline.tightest (a.Algo.prepare env dag) env dag with
               | Some (k, schedule) -> Response.Scheduled { schedule; deadline = Some k }
               | None -> Response.Infeasible { algo; deadline = None }))
 
@@ -95,7 +89,7 @@ let render_explain ~header ~format ~base sched entries =
            ~story:(Journal.story entries))
   | other -> Result.Error (Printf.sprintf "unknown format %S (text, json, svg, html)" other)
 
-let explain ?spec ~algo ~deadline ~format ~q cal dag =
+let explain ~algo ~deadline ~format ~q cal dag =
   match Algo.find algo with
   | None -> unknown_algo algo
   | Some found -> (
@@ -103,23 +97,17 @@ let explain ?spec ~algo ~deadline ~format ~q cal dag =
       let run_or_err =
         match found with
         | `Ressched a ->
-            (* the journaled run below sees [Journal.enabled] and stands
-               down from speculation by itself — passing [spec] is
-               harmless and keeps one code path *)
-            Ok
-              ( (fun () -> a.Algo.run ?spec (env ~q cal) dag),
-                Printf.sprintf "algorithm %s" a.Algo.name )
+            Ok ((fun () -> a.Algo.run (env ~q cal) dag), Printf.sprintf "algorithm %s" a.Algo.name)
         | `Deadline a -> (
             let env = env ~q cal in
             (* resolve the deadline before journaling: the tightest search
                probes many deadlines, and journaling only the final run
-               keeps the story readable (the journal is still off here, so
-               the resolution may speculate) *)
+               keeps the story readable *)
             let resolved =
               match deadline with
               | Some k -> Ok (k, false)
               | None -> (
-                  match Deadline.tightest ?spec (a.Algo.prepare ?spec env dag) env dag with
+                  match Deadline.tightest (a.Algo.prepare env dag) env dag with
                   | Some (k, _) -> Ok (k, true)
                   | None ->
                       Result.Error (Printf.sprintf "no feasible deadline found for %s" a.Algo.name))
@@ -129,7 +117,7 @@ let explain ?spec ~algo ~deadline ~format ~q cal dag =
             | Ok (k, tightest) ->
                 Ok
                   ( (fun () ->
-                      match a.Algo.run ?spec env dag ~deadline:k with
+                      match a.Algo.run env dag ~deadline:k with
                       | Some sched -> sched
                       | None ->
                           failwith
@@ -154,6 +142,6 @@ let explain ?spec ~algo ~deadline ~format ~q cal dag =
               | Ok report -> Response.Explained report
               | Result.Error msg -> Response.Error msg)))
 
-let handlers ?spec () = { Engine.submit = submit ?spec; explain = explain ?spec }
+let handlers () = { Engine.submit; explain }
 
-let engine ?spec ~sites () = Engine.create ~handlers:(handlers ?spec ()) ~sites ()
+let engine ~sites () = Engine.create ~handlers:(handlers ()) ~sites ()

@@ -30,23 +30,15 @@
     deterministic even while other sites grant reservations
     concurrently. *)
 
-val handlers : ?spec:Speculate.t -> unit -> Mp_service.Engine.handlers
+val handlers : unit -> Mp_service.Engine.handlers
 (** The registry-backed handlers: plug into
-    {!Mp_service.Engine.create}.  [?spec] lends a pool to each request's
-    single schedule computation (see {!Speculate}); it must be a pool
-    {e distinct} from the one fanning the engine's per-site streams (a
-    pool batch is not re-entrant).  Whole-DAG work serializes on the
-    process-wide lock, so at most one request speculates at a time, and
-    speculation is output-preserving: responses are bit-identical with
-    or without it. *)
+    {!Mp_service.Engine.create}. *)
 
-val engine :
-  ?spec:Speculate.t -> sites:Mp_service.Engine.site_spec array -> unit -> Mp_service.Engine.t
+val engine : sites:Mp_service.Engine.site_spec array -> unit -> Mp_service.Engine.t
 (** [engine ~sites ()] is {!Mp_service.Engine.create} with {!handlers}
     attached — the full service, able to answer every request kind. *)
 
 val submit :
-  ?spec:Speculate.t ->
   algo:string ->
   deadline:Mp_service.Request.deadline_spec ->
   q:int ->
@@ -58,7 +50,6 @@ val submit :
     (normally the engine) commits the scheduled reservations. *)
 
 val explain :
-  ?spec:Speculate.t ->
   algo:string ->
   deadline:int option ->
   format:string ->

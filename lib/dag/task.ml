@@ -2,7 +2,10 @@ type t = { id : int; seq : float; alpha : float }
 
 let make ~id ~seq ~alpha =
   if seq <= 0. then invalid_arg "Task.make: seq <= 0";
-  if alpha < 0. || alpha > 1. then invalid_arg "Task.make: alpha not in [0,1]";
+  (* NaN fails every comparison, and an infinite [seq] would round to a
+     1 s [exec_time]: reject both before they reach a calendar. *)
+  if not (Float.is_finite seq) then invalid_arg "Task.make: seq not finite";
+  if not (alpha >= 0. && alpha <= 1.) then invalid_arg "Task.make: alpha not in [0,1]";
   { id; seq; alpha }
 
 let exec_time_f t np =

@@ -1,38 +1,28 @@
-(* A fixed worker pool over Domains with deterministic work stealing.
+(* A fixed worker pool over Domains with one shared claim cursor.
 
    Workers are parked on a condition variable between batches.  A batch
-   splits the item index space into [jobs] contiguous ranges, one per
-   worker; every range is drained through an atomic claim cursor that
-   only moves forward, in chunks of a size that is a pure function of
-   (n, jobs).  A worker that exhausts its own range steals from the
-   other ranges (scanning victims in a fixed order), using the same
-   claim protocol, so no item is ever run twice and an idle worker never
-   waits out a loaded stripe.  Which worker runs an item may vary with
-   timing; what cannot vary is the result: every item writes its own
-   pre-allocated slot ([Ok] or the captured exception) and the slots are
-   merged by item index, so output equals the sequential run's.
-
-   The pre-stealing static round-robin executor survives as the
-   [Static] strategy — the reference the bench harness races the
-   stealing executor against. *)
+   hands every participating worker the same body: claim the next item
+   index with one [Atomic.fetch_and_add] on the batch's cursor, run it,
+   repeat until the cursor passes the end.  Items are coarse (whole
+   ⟨instance, algorithm⟩ cells, sites, or campaigns), so one atomic per
+   item costs nothing measurable and an idle worker never waits behind a
+   slow item.  Which worker runs an item may vary with timing; what
+   cannot vary is the result: every item writes its own pre-allocated
+   slot ([Ok] or the captured exception) and the slots are merged by item
+   index, so output equals the sequential run's. *)
 
 type slot = Idle | Work of (unit -> unit)
-type strategy = Static | Steal
 
 let sp_worker = Mp_obs.Span.make "pool.worker"
 let c_batches = Mp_obs.Counter.make "pool.batches"
 
-(* Steal traffic and busy time depend on OS scheduling, so these three
-   are the one family of counters that is *not* reproducible run to run;
-   the bench harness excludes them from the BENCH_core.json baselines it
-   otherwise gates exactly. *)
-let c_steals = Mp_obs.Counter.make "pool.steals"
-let c_tasks_stolen = Mp_obs.Counter.make "pool.tasks_stolen"
+(* Busy time depends on OS scheduling, so this is the one counter that is
+   *not* reproducible run to run; the bench harness excludes it from the
+   BENCH_core.json baselines it otherwise gates exactly. *)
 let c_busy_ns = Mp_obs.Counter.make "pool.busy_ns"
 
 type t = {
   jobs : int;
-  strategy : strategy;
   mutex : Mutex.t;
   work_ready : Condition.t;
   work_done : Condition.t;
@@ -81,13 +71,12 @@ let worker t w =
   in
   loop ()
 
-let create ?(strategy = Steal) ?jobs () =
+let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Pool.create: jobs < 1";
   let t =
     {
       jobs;
-      strategy;
       mutex = Mutex.create ();
       work_ready = Condition.create ();
       work_done = Condition.create ();
@@ -102,99 +91,24 @@ let create ?(strategy = Steal) ?jobs () =
   t
 
 let jobs t = t.jobs
-let strategy t = t.strategy
 
-(* --- static reference executor ---------------------------------------- *)
-
-(* Run stripe [w] of [n] items: every item writes its own result slot;
-   on an exception the stripe stops (the remaining slots stay [None],
-   which is fine — in index order the exception is reached first). *)
-let stripe results items f n step w () =
-  let i = ref w in
-  (try
-     while !i < n do
-       results.(!i) <- Some (Ok (f items.(!i)));
-       i := !i + step
-     done
-   with e -> results.(!i) <- Some (Error e))
-
-(* --- stealing executor ------------------------------------------------- *)
-
-(* Claim granularity: a pure function of (n, jobs) alone — never of
-   wall-clock or thread identity, so the set of *possible* claim points
-   is fixed for a given batch shape.  Small batches claim single items
-   (perfect balance under skew); large batches amortize the atomic RMW,
-   capped at 32 so the terminal imbalance stays at most one small chunk
-   per worker. *)
-let chunk_size ~n ~jobs = max 1 (min 32 (n / (16 * jobs)))
-
-(* The contiguous initial ranges: worker [w] owns [lo, hi) with the
-   first (n mod jobs) ranges one item longer. *)
-let ranges n jobs =
-  let base = n / jobs and extra = n mod jobs in
-  Array.init jobs (fun w ->
-      let lo = (w * base) + min w extra in
-      (lo, lo + base + if w < extra then 1 else 0))
-
-(* Drain range [v]: claim chunks through the shared cursor (each claim
-   is one [Atomic.fetch_and_add], so an index is handed to exactly one
-   worker) and run the claimed items in increasing index order.  Returns
-   (items run, an item raised).  On an exception the rest of the claimed
-   chunk is abandoned; its slots stay [None], which is fine — the
-   cursor only moves forward, so in index order the [Error] slot is
-   always reached before any abandoned [None] (see the merge). *)
-let drain results items f cursors his ~chunk v =
-  let cursor = cursors.(v) and hi = his.(v) in
-  let ran = ref 0 and failed = ref false and exhausted = ref false in
-  while not (!failed || !exhausted) do
-    let i0 = Atomic.fetch_and_add cursor chunk in
-    if i0 >= hi then exhausted := true
-    else begin
-      let stop = min hi (i0 + chunk) in
-      let i = ref i0 in
-      try
-        while !i < stop do
-          results.(!i) <- Some (Ok (f items.(!i)));
-          incr ran;
-          incr i
-        done
-      with e ->
-        results.(!i) <- Some (Error e);
-        incr ran;
-        failed := true
-    end
-  done;
-  (!ran, !failed)
-
-(* Worker [w]'s batch participation: drain its own range, then scan the
-   victims in the fixed order w+1, w+2, … (mod jobs) and drain theirs.
-   A worker that captures an item's exception stops contributing; the
-   remaining items are still drained by the other workers, and if every
-   worker stops, any item left unclaimed sits at a higher index than the
-   error that stopped its range's last claimant — the ordered merge
-   below therefore always reaches an [Error] first. *)
-let steal_body results items f cursors his jobs ~chunk w () =
-  let _, failed = drain results items f cursors his ~chunk w in
-  if not failed then begin
-    let steals = ref 0 and stolen = ref 0 in
-    let d = ref 1 and stop = ref false in
-    while (not !stop) && !d < jobs do
-      let v = (w + !d) mod jobs in
-      let ran, failed = drain results items f cursors his ~chunk v in
-      if ran > 0 then begin
-        incr steals;
-        stolen := !stolen + ran
-      end;
-      if failed then stop := true;
-      incr d
-    done;
-    if !steals > 0 then begin
-      Mp_obs.Counter.add c_steals !steals;
-      Mp_obs.Counter.add c_tasks_stolen !stolen
-    end
-  end
-
-(* --- batches ------------------------------------------------------------ *)
+(* Claim items through the shared cursor until it passes the end.  A
+   worker stops at its first captured exception; the cursor only moves
+   forward, so the claimed indices are always a prefix of the batch, and
+   an index left unclaimed (its slot still [None]) means every worker
+   stopped on an [Error] at a smaller index — which the ordered merge
+   reaches first. *)
+let claim_loop results items f cursor n () =
+  let rec claim () =
+    let i = Atomic.fetch_and_add cursor 1 in
+    if i < n then
+      match f items.(i) with
+      | v ->
+          results.(i) <- Some (Ok v);
+          claim ()
+      | exception e -> results.(i) <- Some (Error e)
+  in
+  claim ()
 
 let map_array t f items =
   let n = Array.length items in
@@ -215,36 +129,18 @@ let map_array t f items =
     t.in_batch <- true;
     Mp_obs.Counter.incr c_batches;
     let results = Array.make n None in
-    (* [body w] is worker [w]'s whole participation; [active w] says
-       whether spawned worker [w] has anything to start from.  (With
-       stealing an empty initial range means an empty batch tail — the
-       live workers drain everything — so waking such a worker buys
-       nothing.) *)
-    let body, active =
-      match t.strategy with
-      | Static -> (stripe results items f n t.jobs, fun w -> w < n)
-      | Steal ->
-          let rs = ranges n t.jobs in
-          let cursors = Array.map (fun (lo, _) -> Atomic.make lo) rs in
-          let his = Array.map snd rs in
-          let chunk = chunk_size ~n ~jobs:t.jobs in
-          ( steal_body results items f cursors his t.jobs ~chunk,
-            fun w ->
-              let lo, hi = rs.(w) in
-              lo < hi )
-    in
-    let assigned = ref 0 in
-    for w = 0 to t.jobs - 2 do
-      if active w then begin
-        t.slots.(w) <- Work (body w);
-        incr assigned
-      end
+    let body = claim_loop results items f (Atomic.make 0) n in
+    (* wake at most n - 1 spawned workers: with the calling domain that
+       is one participant per item *)
+    let assigned = min (t.jobs - 1) (n - 1) in
+    for w = 0 to assigned - 1 do
+      t.slots.(w) <- Work body
     done;
-    t.busy <- !assigned;
-    if !assigned > 0 then Condition.broadcast t.work_ready;
+    t.busy <- assigned;
+    if assigned > 0 then Condition.broadcast t.work_ready;
     Mutex.unlock t.mutex;
     (* the calling domain participates as the last worker *)
-    participate (body (t.jobs - 1));
+    participate body;
     Mutex.lock t.mutex;
     while t.busy > 0 do
       Condition.wait t.work_done t.mutex
@@ -253,9 +149,7 @@ let map_array t f items =
     Mutex.unlock t.mutex;
     (* merge in item order: the smallest-index failure wins, as it would
        sequentially (a [None] can only follow an [Error] at a smaller
-       index — a stripe or claimed chunk abandons only the indices after
-       its exception, and an unclaimed index means its range's last
-       claimant failed below it) *)
+       index, see [claim_loop]) *)
     for i = 0 to n - 1 do
       match results.(i) with Some (Error e) -> raise e | _ -> ()
     done;
@@ -263,28 +157,6 @@ let map_array t f items =
   end
 
 let map t f xs = Array.to_list (map_array t f (Array.of_list xs))
-
-(* A speculative wave: every thunk runs (they are independent probes of a
-   search), but the *selection* replays the sequential scan — walk the
-   slots in index order, re-raise the first captured exception, stop at
-   the first [Some].  Thunk exceptions are captured into the result slots
-   by the wrapper below, never surfaced by [map_array] itself, so an
-   exception at index j is suppressed by a success at i < j exactly as a
-   sequential scan (which would never have evaluated j) suppresses it. *)
-let first_some t thunks =
-  let results =
-    map_array t (fun thunk -> match thunk () with v -> Ok v | exception e -> Error e) thunks
-  in
-  let n = Array.length results in
-  let rec scan i =
-    if i >= n then None
-    else
-      match results.(i) with
-      | Error e -> raise e
-      | Ok (Some v) -> Some (i, v)
-      | Ok None -> scan (i + 1)
-  in
-  scan 0
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -294,8 +166,8 @@ let shutdown t =
   Mutex.unlock t.mutex;
   if not was_closed then Array.iter Domain.join t.domains
 
-let with_pool ?strategy ?jobs f =
-  let t = create ?strategy ?jobs () in
+let with_pool ?jobs f =
+  let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let run ?strategy ?jobs f xs = with_pool ?strategy ?jobs (fun t -> map t f xs)
+let run ?jobs f xs = with_pool ?jobs (fun t -> map t f xs)

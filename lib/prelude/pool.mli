@@ -3,15 +3,12 @@
 
     The pool exists so the simulation layer can spread embarrassingly
     parallel ⟨instance, algorithm⟩ cells over the machine's cores while
-    keeping results {e bit-identical} to sequential execution.  Since the
-    work-stealing rewrite the determinism contract is no longer "which
-    worker runs an item is fixed" — it is purely structural:
+    keeping results {e bit-identical} to sequential execution.  The
+    determinism contract is structural, not "which worker runs an item":
 
-    - the item index space is split into [jobs] contiguous ranges, each
-      drained through a forward-only atomic claim cursor; a worker that
-      exhausts its own range {e steals} from the others (fixed victim
-      order, same claim protocol), so which worker runs an item can vary
-      with timing — but each item runs exactly once;
+    - workers claim items one at a time through a single atomic cursor
+      over the item indices, so which worker runs an item can vary with
+      timing — but each item runs exactly once;
     - every item writes its result (or its exception) into its own
       pre-allocated slot, and {!map} merges the slots in item order, so
       the merged output is exactly what sequential [List.map] would
@@ -19,17 +16,14 @@
       result};
     - an exception raised by an item is re-raised in the calling domain,
       and when several items fail, the one with the {e smallest index}
-      wins — again matching sequential behaviour;
-    - the claim chunk size is a pure function of (n, jobs), never of
-      wall-clock.
+      wins — again matching sequential behaviour.
 
     Work items must therefore be pure with respect to shared mutable
     state (each simulation instance owns its own SplitMix64 RNG state;
     shared caches such as [Mp_sim.Logcache] are mutex-protected and
-    deterministic per key).  Stealing moves {e where} an item runs, so
-    items must also not depend on which domain they execute on —
-    domain-local state is fine for record-only probes ({!Mp_obs}), never
-    for results.
+    deterministic per key), and must not depend on which domain they
+    execute on — domain-local state is fine for record-only probes
+    ({!Mp_obs}), never for results.
 
     A pool with [jobs = 1] spawns no domains and runs every batch in the
     calling domain, making [~jobs:1] a true sequential reference.
@@ -39,38 +33,19 @@
 
 type t
 
-(** How a batch's items are handed to workers.  Both strategies satisfy
-    the determinism contract above; they differ only in wall-clock
-    behaviour under skew. *)
-type strategy =
-  | Static
-      (** The pre-stealing reference executor: item [i] is pinned to
-          worker [i mod jobs] (round-robin striping).  One slow item
-          serializes its whole stripe behind it while the other workers
-          idle — kept as the baseline the bench harness races {!Steal}
-          against. *)
-  | Steal
-      (** Work stealing over per-worker contiguous ranges (the
-          default): idle workers drain loaded ranges, so a single
-          pathological item costs at most its own runtime, not its
-          stripe's. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (at least 1): leave one core
     for the caller's OS noise.  This is the default for every [?jobs]
     argument in the library. *)
 
-val create : ?strategy:strategy -> ?jobs:int -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] workers ([jobs - 1] new domains plus the
-    calling domain).  Defaults: {!Steal}, {!default_jobs}.  Raises
+    calling domain).  Default: {!default_jobs}.  Raises
     [Invalid_argument] if [jobs < 1].  Call {!shutdown} (or use
     {!with_pool}) when done — idle workers block a domain each. *)
 
 val jobs : t -> int
 (** Worker count (including the calling domain). *)
-
-val strategy : t -> strategy
-(** The executor this pool was created with. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs], fanned over the pool's workers.
@@ -85,26 +60,13 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array counterpart of {!map}. *)
 
-val first_some : t -> (unit -> 'a option) array -> (int * 'a) option
-(** Speculative wave: run every thunk on the pool, then select exactly
-    what the sequential scan [thunks.(0) (); thunks.(1) (); …] stopping
-    at the first [Some] would have selected — the smallest index whose
-    thunk returned [Some v] (as [(index, v)]), or [None] when all
-    returned [None].  An exception raised by thunk [j] propagates iff no
-    thunk [i < j] returned [Some] — again matching the sequential scan,
-    which would not have evaluated [j].  The one observable difference
-    from that scan is that thunks past the winner {e do run} (their side
-    effects — probe counters, allocations — happen), so thunks must be
-    pure up to record-only instrumentation.  Same batching rules as
-    {!map}: not re-entrant, raises after {!shutdown}. *)
-
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent; subsequent {!map} calls
     raise. *)
 
-val with_pool : ?strategy:strategy -> ?jobs:int -> (t -> 'a) -> 'a
+val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down on
     exit (normal or exceptional). *)
 
-val run : ?strategy:strategy -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** One-shot convenience: [with_pool ~jobs (fun p -> map p f xs)]. *)

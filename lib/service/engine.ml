@@ -163,10 +163,9 @@ let index_visits_now () =
 
 (* --- dispatch ----------------------------------------------------------- *)
 
-(* Exactly the trial-and-error semantics of the old [Probe.request]: the
-   facade is now a client of this code path, and [Mp_core.Blind]'s
-   "blind matches omniscient" pin depends on grant/suggestion behaviour
-   staying put. *)
+(* The trial-and-error semantics [Mp_core.Blind] drives: its "blind
+   matches omniscient" pin depends on grant/suggestion behaviour staying
+   put. *)
 let reserve site ~start ~dur ~procs =
   if start < 0 || dur < 1 || procs < 1 then Response.Rejected None
   else if procs > Calendar.Txn.procs site.txn then Response.Rejected None

@@ -101,8 +101,8 @@ val handle : t -> site:int -> Request.t -> Response.t
 (** Service one request immediately (no admission control):
 
     - [Reserve]: grant and commit, or reject with the earliest feasible
-      alternative start — exactly the trial-and-error semantics the
-      {!Probe} facade exposes (nonsensical arguments and [procs] beyond
+      alternative start — the trial-and-error semantics
+      [Mp_core.Blind] drives (nonsensical arguments and [procs] beyond
       the cluster reject with no suggestion);
     - [Probe]: answer the feasibility query, calendar untouched;
     - [Cancel]: release a reservation granted by a previous [Reserve];

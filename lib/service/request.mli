@@ -4,8 +4,8 @@
     discussion (Sections 3.2.2 and 7) — and Moise et al.'s reservation
     negotiation protocol — describe the deployment shape this module
     types: a stream of request/grant/reject interactions against a live
-    calendar.  Every consumer builds {!t} values: the {!Probe} facade
-    emits {!Reserve}/{!Cancel}, the [Mp_core.Online] competitor stream is
+    calendar.  Every consumer builds {!t} values: the trial-and-error
+    scheduler [Mp_core.Blind] emits {!Reserve}/{!Cancel}, the [Mp_core.Online] competitor stream is
     a [t list array], the one-shot CLI paths submit one {!Submit_dag} or
     {!Explain}, and [mpres serve] consumes a whole {!envelope} stream.
 
@@ -27,8 +27,8 @@ type t =
           commit its reservations to the site's live calendar *)
   | Reserve of { start : int; dur : int; procs : int }
       (** ask for [procs] processors over [\[start, start + dur)] —
-          the {!Probe} request, granted or rejected with the earliest
-          feasible alternative start *)
+          the trial-and-error request, granted or rejected with the
+          earliest feasible alternative start *)
   | Probe of { start : int; dur : int; procs : int }
       (** feasibility query: where could this reservation start, at or
           after [start]?  Never changes the calendar. *)

@@ -28,7 +28,6 @@ type t = {
 val run :
   ?bl:Mp_core.Bottom_level.method_ ->
   ?bd:Mp_core.Bound.method_ ->
-  ?spec:Mp_core.Speculate.t ->
   Mp_core.Env.t ->
   arrival list ->
   t
@@ -37,9 +36,8 @@ val run :
     scheduled applications, with its tasks constrained to start no
     earlier than its arrival.  The availability estimate [q] is refreshed
     for every application from the current calendar (7-day window from
-    its arrival).  [?spec] lends pool workers to each application's
-    schedule computation ({!Mp_core.Speculate} — output unchanged).
-    Raises [Invalid_argument] on a negative arrival time. *)
+    its arrival).  Raises [Invalid_argument] on a negative arrival
+    time. *)
 
 val run_many :
   ?pool:Mp_prelude.Pool.t ->
@@ -53,9 +51,5 @@ val run_many :
     {!Mp_prelude.Pool}.  Within a campaign the calendar threading stays
     strictly sequential; across campaigns there is no shared state, so
     the result list is bit-identical to mapping {!run} sequentially.
-    When there are fewer campaigns than workers, the campaigns instead
-    run sequentially and the pool is lent {e into} each schedule
-    computation ({!Mp_core.Speculate}) — still bit-identical, since
-    speculation is output-preserving.  [~pool] reuses an existing pool;
-    otherwise a transient pool of [jobs] (default
-    {!Mp_prelude.Pool.default_jobs}) workers is used. *)
+    [~pool] reuses an existing pool; otherwise a transient pool of
+    [jobs] (default {!Mp_prelude.Pool.default_jobs}) workers is used. *)

@@ -677,12 +677,17 @@ let blind_ablation ?pool ?jobs scale =
             List.split
               (Pool.map p
                  (fun ((inst : Instance.t), baseline) ->
-                   let probe = Mp_service.Probe.create inst.env.calendar in
-                   let sched = Mp_core.Blind.schedule ~budget ~q:inst.env.q ~probe inst.dag in
+                   let engine =
+                     Mp_service.Engine.create
+                       ~sites:[| { calendar = inst.env.calendar; q = inst.env.p } |]
+                       ()
+                   in
+                   let sched, requests =
+                     Mp_core.Blind.schedule ~budget ~q:inst.env.q ~engine ~site:0 inst.dag
+                   in
                    let tat = float_of_int (Schedule.turnaround sched) in
                    ( (tat -. baseline) /. baseline *. 100.,
-                     float_of_int (Mp_service.Probe.probes probe)
-                     /. float_of_int (Mp_dag.Dag.n inst.dag) ))
+                     float_of_int requests /. float_of_int (Mp_dag.Dag.n inst.dag) ))
                  cases)
           in
           {

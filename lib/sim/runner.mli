@@ -6,12 +6,8 @@
     sequential run whatever the worker count: every cell computes from the
     instance's own immutable environment and writes into its own result
     slot, and slots are merged in cell order (see the determinism notes in
-    DESIGN.md).  When a batch has {e fewer cells than workers}, the cells
-    instead run sequentially in cell order and the pool is lent {e into}
-    each cell's schedule computation ({!Mp_core.Speculate}); speculation
-    is output-preserving, so the matrices are bit-identical across the
-    policy switch too.  Pass [~pool] to reuse a pool across scenarios, or
-    [~jobs] to run on a transient pool; with neither, a transient pool of
+    DESIGN.md).  Pass [~pool] to reuse a pool across scenarios, or [~jobs]
+    to run on a transient pool; with neither, a transient pool of
     {!Mp_prelude.Pool.default_jobs} workers is used.  [~jobs:1] is the
     sequential reference. *)
 

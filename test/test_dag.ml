@@ -50,7 +50,18 @@ let test_task_invalid () =
   Alcotest.check_raises "seq <= 0" (Invalid_argument "Task.make: seq <= 0") (fun () ->
       ignore (Task.make ~id:0 ~seq:0. ~alpha:0.5));
   Alcotest.check_raises "alpha > 1" (Invalid_argument "Task.make: alpha not in [0,1]") (fun () ->
-      ignore (Task.make ~id:0 ~seq:1. ~alpha:1.5))
+      ignore (Task.make ~id:0 ~seq:1. ~alpha:1.5));
+  (* NaN passes [seq <= 0] and [alpha < 0 || alpha > 1] alike, and an
+     infinite seq used to round to a 1 s exec_time *)
+  List.iter
+    (fun seq ->
+      Alcotest.check_raises
+        (Printf.sprintf "seq = %g" seq)
+        (Invalid_argument "Task.make: seq not finite")
+        (fun () -> ignore (Task.make ~id:0 ~seq ~alpha:0.5)))
+    [ Float.nan; Float.infinity ];
+  Alcotest.check_raises "alpha = nan" (Invalid_argument "Task.make: alpha not in [0,1]")
+    (fun () -> ignore (Task.make ~id:0 ~seq:1. ~alpha:Float.nan))
 
 let test_task_min_one_second () =
   let t = Task.make ~id:0 ~seq:0.5 ~alpha:0. in

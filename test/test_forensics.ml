@@ -369,6 +369,13 @@ let test_dag_io_errors () =
   (match Dag_io.of_string "task 0 10 0.1\ntask 2 10 0.1\nedge 0 2" with
   | Ok _ -> Alcotest.fail "gap in ids accepted"
   | Error _ -> ());
+  (* non-finite task inputs parse as floats but are refused by Task.make *)
+  List.iter
+    (fun line ->
+      match Dag_io.of_string line with
+      | Ok _ -> Alcotest.failf "%S accepted" line
+      | Error msg -> Alcotest.(check bool) "names Task.make" true (contains msg "Task.make"))
+    [ "task 0 1e400 0.1"; "task 0 nan 0.1"; "task 0 10 nan" ];
   match Dag_io.of_string "" with
   | Ok _ -> Alcotest.fail "empty file accepted"
   | Error _ -> ()

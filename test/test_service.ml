@@ -1,19 +1,19 @@
 (* Mp_service: the typed request/response protocol, the engine and its
-   admission control, the deprecated Probe facade, and the serve CLI.
+   admission control, the trial-and-error reservation protocol, and the
+   serve CLI.
 
    The load-bearing pins here:
    - JSON round-trips for Request/Response/envelope (the serve protocol);
    - the engine's [run] is jobs-invariant: any pool size yields identical
      outcomes and final calendars (the --jobs contract of [mpres serve]);
    - cancelling a reservation that is not held answers an [Error] naming
-     the reservation (and the facade raises the same message) — the old
-     [Probe.cancel] raised a bare "reservation was not granted". *)
+     the reservation (a second [Cancel] of the same grant must say which
+     reservation was not held, not a bare "reservation was not granted"). *)
 
 module Request = Mp_service.Request
 module Response = Mp_service.Response
 module Engine = Mp_service.Engine
 module Stream = Mp_service.Stream
-module Probe = Mp_service.Probe
 module Serve = Mp_core.Serve
 module Calendar = Mp_platform.Calendar
 module Reservation = Mp_platform.Reservation
@@ -30,58 +30,63 @@ let contains hay needle =
 let dag_of_seed ?(n = 8) seed = Dag_gen.generate (Rng.create seed) { Dag_gen.default with n }
 
 (* ------------------------------------------------------------------ *)
-(* Probe facade (migrated from test_platform.ml when Probe became a
-   client of the engine) *)
+(* Engine: per-request semantics *)
+
+let reservation_engine ?(procs = 4) () =
+  Engine.create ~sites:[| { Engine.calendar = Calendar.create ~procs; q = procs } |] ()
+
+(* ------------------------------------------------------------------ *)
+(* Trial-and-error reservation protocol: the Reserve/Cancel exchange
+   Mp_core.Blind drives through Engine.handle *)
+
+let reserve e ~start ~dur ~procs = Engine.handle e ~site:0 (Request.Reserve { start; dur; procs })
 
 let test_probe_grant_and_count () =
-  let p = Probe.create (Calendar.create ~procs:4) in
-  (match Probe.request p ~start:0 ~dur:10 ~procs:4 with
+  let e = reservation_engine () in
+  (match reserve e ~start:0 ~dur:10 ~procs:4 with
   | Response.Granted -> ()
   | r -> Alcotest.failf "expected grant, got %s" (Response.to_string r));
-  Alcotest.(check int) "one probe" 1 (Probe.probes p);
-  Alcotest.(check int) "one granted" 1 (List.length (Probe.granted p));
-  Alcotest.(check int) "hidden calendar updated" 0 (Calendar.available_at (Probe.reveal p) 5)
+  Alcotest.(check int) "one request" 1 (Engine.requests e);
+  Alcotest.(check int) "one granted" 1 (List.length (Engine.granted e ~site:0));
+  Alcotest.(check int) "calendar updated" 0 (Calendar.available_at (Engine.calendar e ~site:0) 5)
 
 let test_probe_reject_with_suggestion () =
   let cal =
     Calendar.reserve (Calendar.create ~procs:4) (Reservation.make ~start:0 ~finish:100 ~procs:3)
   in
-  let p = Probe.create cal in
-  (match Probe.request p ~start:0 ~dur:10 ~procs:2 with
+  let e = Engine.create ~sites:[| { Engine.calendar = cal; q = 4 } |] () in
+  (match reserve e ~start:0 ~dur:10 ~procs:2 with
   | Response.Rejected (Some 100) -> ()
   | r -> Alcotest.failf "expected rejection suggesting 100, got %s" (Response.to_string r));
   (* following the suggestion succeeds *)
-  match Probe.request p ~start:100 ~dur:10 ~procs:2 with
-  | Response.Granted -> Alcotest.(check int) "two probes" 2 (Probe.probes p)
+  match reserve e ~start:100 ~dur:10 ~procs:2 with
+  | Response.Granted -> Alcotest.(check int) "two requests" 2 (Engine.requests e)
   | r -> Alcotest.failf "suggestion was infeasible: %s" (Response.to_string r)
 
 let test_probe_reject_invalid () =
-  let p = Probe.create (Calendar.create ~procs:4) in
-  (match Probe.request p ~start:(-5) ~dur:10 ~procs:1 with
+  let e = reservation_engine () in
+  (match reserve e ~start:(-5) ~dur:10 ~procs:1 with
   | Response.Rejected None -> ()
   | _ -> Alcotest.fail "negative start must be rejected");
-  match Probe.request p ~start:0 ~dur:10 ~procs:5 with
+  match reserve e ~start:0 ~dur:10 ~procs:5 with
   | Response.Rejected None -> ()
   | _ -> Alcotest.fail "oversize must be rejected outright"
 
 let test_probe_cancel () =
-  let p = Probe.create (Calendar.create ~procs:4) in
-  ignore (Probe.request p ~start:0 ~dur:10 ~procs:4);
-  let r = List.hd (Probe.granted p) in
-  Probe.cancel p r;
-  Alcotest.(check int) "freed" 4 (Calendar.available_at (Probe.reveal p) 5);
-  Alcotest.(check int) "no longer granted" 0 (List.length (Probe.granted p));
-  (* regression: the double-cancel error names the reservation (the old
-     facade raised a bare "reservation was not granted") *)
-  Alcotest.check_raises "double cancel"
-    (Invalid_argument "Probe.cancel: reservation [0, 10) x 4 is not held") (fun () ->
-      Probe.cancel p r)
+  let e = reservation_engine () in
+  ignore (reserve e ~start:0 ~dur:10 ~procs:4);
+  let r = List.hd (Engine.granted e ~site:0) in
+  (match
+     Engine.handle e ~site:0
+       (Request.Cancel { start = r.start; finish = r.finish; procs = r.procs })
+   with
+  | Response.Cancelled -> ()
+  | resp -> Alcotest.failf "cancel answered %s" (Response.to_string resp));
+  Alcotest.(check int) "freed" 4 (Calendar.available_at (Engine.calendar e ~site:0) 5);
+  Alcotest.(check int) "no longer granted" 0 (List.length (Engine.granted e ~site:0))
 
 (* ------------------------------------------------------------------ *)
-(* Engine: per-request semantics *)
-
-let reservation_engine ?(procs = 4) () =
-  Engine.create ~sites:[| { Engine.calendar = Calendar.create ~procs; q = procs } |] ()
+(* Engine: more per-request semantics *)
 
 let test_engine_probe_reads_only () =
   let e = reservation_engine () in
@@ -389,6 +394,37 @@ let gen_envelope =
       (pair (0 -- 10) (0 -- 100_000))
       (pair (option (0 -- 600)) gen_request))
 
+(* A task's [seq] of 1e400 parses to infinity; Task.make refuses it, so
+   the envelope is a protocol error instead of a DAG whose task would
+   round to a 1 s reservation. *)
+let test_envelope_non_finite_task () =
+  let dag = Dag.make [| Mp_dag.Task.make ~id:0 ~seq:1234.5 ~alpha:0.25 |] [] in
+  let line =
+    Request.envelope_to_string
+      {
+        Request.id = 0;
+        site = 0;
+        arrival = 0;
+        budget = None;
+        payload = Request.Submit_dag { dag; algo = "BD_CPAR"; deadline = Request.No_deadline };
+      }
+  in
+  Alcotest.(check bool) "well-formed envelope parses" true
+    (Result.is_ok (Request.envelope_of_string line));
+  Alcotest.(check bool) "seq literal present" true (contains line "1234.5");
+  let with_seq v =
+    let m = String.length "1234.5" in
+    let rec find i = if String.sub line i m = "1234.5" then i else find (i + 1) in
+    let i = find 0 in
+    String.sub line 0 i ^ v ^ String.sub line (i + m) (String.length line - i - m)
+  in
+  List.iter
+    (fun v ->
+      match Request.envelope_of_string (with_seq v) with
+      | Ok _ -> Alcotest.failf "seq %s accepted" v
+      | Error msg -> Alcotest.(check bool) "typed dag error" true (contains msg "dag: Task.make"))
+    [ "1e400"; "-1e400" ]
+
 let prop_envelope_roundtrip =
   QCheck.Test.make ~name:"envelope JSONL round-trips" ~count:200 (QCheck.make gen_envelope)
     (fun e ->
@@ -648,6 +684,8 @@ let () =
           Alcotest.test_case "unknown site outcome" `Quick test_run_unknown_site;
         ] );
       ("stream", [ Alcotest.test_case "deterministic" `Quick test_stream_deterministic ]);
+      ( "request",
+        [ Alcotest.test_case "non-finite task refused" `Quick test_envelope_non_finite_task ] );
       ("properties", props);
       ("cli", [ Alcotest.test_case "serve dump/replay" `Quick test_serve_cli_roundtrip ]);
     ]

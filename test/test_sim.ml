@@ -241,8 +241,8 @@ let test_runner_parallel_deterministic () =
 let test_runner_deadline_jobs_invariant () =
   (* Table-6 shape: Grid'5000 reservation environments, the full deadline
      roster, two-phase runner (tightest probe, then the loose-deadline cpu
-     phase behind its barrier) — the stealing executor moves cells between
-     workers, the matrices must not move at all *)
+     phase behind its barrier) — which worker claims a cell varies with
+     timing, the matrices must not move at all *)
   let app = { Scenario.label = "t"; params = { Dag_gen.default with n = 10 } } in
   let insts = Instance.grid5000 ~seed:21 ~app ~n_dags:2 ~n_cals:2 in
   let run jobs = Runner.deadline ~jobs ~algos:Algo.deadline_all ~scenario:"t6" insts in
@@ -260,34 +260,34 @@ let test_runner_deadline_jobs_invariant () =
         (r1.Runner.loose_cpu_hours.values = r.Runner.loose_cpu_hours.values))
     [ 2; 4 ]
 
-let test_runner_lending_invariant () =
-  (* fewer cells than workers: the runner stops fanning and lends the
-     pool *into* each cell's schedule computation (Mp_core.Speculate) —
-     the matrices must still match the sequential reference exactly *)
+let test_runner_more_workers_than_cells () =
+  (* fewer cells than workers: some workers find the cursor already past
+     the end and claim nothing — the matrices must still match the
+     sequential reference exactly *)
   let app = { Scenario.label = "t"; params = { Dag_gen.default with n = 12 } } in
   let insts = Instance.grid5000 ~seed:31 ~app ~n_dags:1 ~n_cals:1 in
   let algos_r = [ List.hd Algo.ressched_main ] in
-  let r1 = Runner.ressched ~jobs:1 ~algos:algos_r ~scenario:"lend" insts in
-  let r4 = Runner.ressched ~jobs:4 ~algos:algos_r ~scenario:"lend" insts in
-  Alcotest.(check bool) "lent ressched tat identical" true
+  let r1 = Runner.ressched ~jobs:1 ~algos:algos_r ~scenario:"few" insts in
+  let r4 = Runner.ressched ~jobs:4 ~algos:algos_r ~scenario:"few" insts in
+  Alcotest.(check bool) "ressched tat identical" true
     (r1.Runner.tat.values = r4.Runner.tat.values);
-  Alcotest.(check bool) "lent ressched cpu identical" true
+  Alcotest.(check bool) "ressched cpu identical" true
     (r1.Runner.cpu_hours.values = r4.Runner.cpu_hours.values);
   let algos_d =
     List.filter_map Algo.deadline_find [ "DL_BD_CPA"; "DL_RCBD_CPAR-l" ]
   in
   Alcotest.(check int) "two deadline algos" 2 (List.length algos_d);
-  let d1 = Runner.deadline ~jobs:1 ~algos:algos_d ~scenario:"lend" insts in
-  let d4 = Runner.deadline ~jobs:4 ~algos:algos_d ~scenario:"lend" insts in
-  Alcotest.(check bool) "lent deadline tightest identical" true
+  let d1 = Runner.deadline ~jobs:1 ~algos:algos_d ~scenario:"few" insts in
+  let d4 = Runner.deadline ~jobs:4 ~algos:algos_d ~scenario:"few" insts in
+  Alcotest.(check bool) "deadline tightest identical" true
     (d1.Runner.tightest.values = d4.Runner.tightest.values);
-  Alcotest.(check bool) "lent deadline cpu identical" true
+  Alcotest.(check bool) "deadline cpu identical" true
     (d1.Runner.loose_cpu_hours.values = d4.Runner.loose_cpu_hours.values)
 
 let test_runner_worker_exception () =
   (* a crash on a worker domain must propagate to the caller, not hang *)
   let insts = micro_instances () in
-  let boom : Algo.ressched = { name = "BOOM"; run = (fun ?spec:_ _ _ -> failwith "boom") } in
+  let boom : Algo.ressched = { name = "BOOM"; run = (fun _ _ -> failwith "boom") } in
   Alcotest.check_raises "worker failure propagates" (Failure "boom") (fun () ->
       ignore (Runner.ressched ~jobs:4 ~algos:[ boom ] ~scenario:"s" insts))
 
@@ -569,7 +569,8 @@ let () =
           Alcotest.test_case "deadline validated" `Slow test_runner_deadline;
           Alcotest.test_case "parallel = sequential" `Quick test_runner_parallel_deterministic;
           Alcotest.test_case "deadline jobs-invariant (Table 6 shape)" `Slow test_runner_deadline_jobs_invariant;
-          Alcotest.test_case "pool lending jobs-invariant" `Quick test_runner_lending_invariant;
+          Alcotest.test_case "more workers than cells jobs-invariant" `Quick
+            test_runner_more_workers_than_cells;
           Alcotest.test_case "worker exception propagates" `Quick test_runner_worker_exception;
         ] );
       ( "campaign",
